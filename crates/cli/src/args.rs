@@ -24,8 +24,9 @@ pub struct Flags {
     /// sanitizer, panicking on publish-discipline violations. Results are
     /// byte-identical either way.
     pub sanitize: bool,
-    /// Persist an iteration-boundary checkpoint to this path (`SEPOCKP1`),
-    /// enabling hard-fault recovery.
+    /// Persist an iteration-boundary checkpoint to this path (`SEPOCKP2`,
+    /// or one `SEPOCKS2` container for N > 1 shards), enabling hard-fault
+    /// recovery.
     pub checkpoint: Option<String>,
     /// Seed for hard-fault chaos injection (device loss, poisoned
     /// launches). Turns on in-memory checkpointing so the run survives.
@@ -50,11 +51,11 @@ pub struct Flags {
     /// Verify the CRC32C stamp of every finalized host page at the end of
     /// a corruption-free run (`--scrub`). Forced on under `--corrupt`.
     pub scrub: bool,
-    /// Shard the run across `--shards N` simulated devices (power of two,
-    /// default 1). Each shard owns a hash-prefix slice of the key space
-    /// and its own device heap; the merged canonical image is checked
-    /// against an unsharded reference run. `--shards 1` is exactly the
-    /// single-device path.
+    /// Run across `--shards N` simulated devices (power of two, default
+    /// 1): every run is an N-shard run, each shard owning a hash-prefix
+    /// slice of the key space and its own device heap. For N > 1 the
+    /// merged canonical image is checked against an unsharded reference
+    /// run.
     pub shards: u32,
 }
 

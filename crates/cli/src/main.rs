@@ -24,8 +24,10 @@
 //!                                        violation; results identical either
 //!                                        way)
 //!   --checkpoint <path>                  persist an iteration-boundary
-//!                                        checkpoint (SEPOCKP1) to <path>,
-//!                                        enabling hard-fault recovery
+//!                                        checkpoint (SEPOCKP2; SEPOCKS2 with
+//!                                        a section per shard when N > 1)
+//!                                        to <path>, enabling hard-fault
+//!                                        recovery
 //!   --chaos-seed <seed>                  inject hard device faults (device
 //!                                        loss, poisoned launches) at the
 //!                                        standard rates; runs recover from
@@ -52,30 +54,36 @@
 //!                                        checking every answer against a
 //!                                        CPU oracle; results identical
 //!                                        either way
-//!   --shards <N>                         shard the run across N simulated
-//!                                        devices (power of two, default 1);
-//!                                        each shard owns a hash-prefix slice
-//!                                        of the key space with its own heap,
-//!                                        warp pool, and eviction pipe, and
-//!                                        the merged canonical image is
-//!                                        checked against an unsharded
-//!                                        reference run (--shards 1 is
-//!                                        exactly the single-device path)
+//!   --shards <N>                         run across N >= 1 simulated devices
+//!                                        (power of two, default 1); every
+//!                                        run is an N-shard run, each shard
+//!                                        owning a hash-prefix slice of the
+//!                                        key space with its own heap, warp
+//!                                        pool, and eviction pipe; for N > 1
+//!                                        an unsharded reference run is added
+//!                                        and the merged canonical image must
+//!                                        match it
 //! sepo lookup [--scale N] [--queries N]  build a PVC table, run the SEPO
 //!                                        lookup phase over it
 //! sepo query <image> <key>...            query a table saved with --save
 //! ```
 
 use gpu_sim::executor::{ExecMode, Executor};
-use gpu_sim::metrics::Metrics;
+use gpu_sim::metrics::{Metrics, Snapshot};
+use gpu_sim::{FaultConfig, FaultPlan};
+use sepo_apps::sharded::{run_app_sharded, unsharded_image};
 use sepo_apps::{run_app, AppConfig};
 use sepo_baselines::{run_cpu_app, run_phoenix};
 use sepo_bench::report::{fmt_bytes, fmt_speedup};
 use sepo_bench::{cpu_total_time, device_heap, gpu_total_time, sharded_total_time};
 use sepo_cli::{app_by_slug, parse_flags, slug, Flags};
+use sepo_core::{
+    CheckpointPolicy, EpochPublisher, RecoveryStats, SepoTable, ShardedCheckpointFile,
+    ShardedSnapshot,
+};
 use sepo_datagen::App;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -111,16 +119,16 @@ fn cmd_apps() -> ExitCode {
 }
 
 /// Rolling state of the `--serve` query load: per-epoch counters plus the
-/// last answer seen per key, so epoch-to-epoch monotonicity (partial
-/// aggregates never shrink, groups never lose values) is checked online.
+/// last progress measure seen per key (a combined value, or a group's
+/// value count), so epoch-to-epoch monotonicity (partial aggregates never
+/// shrink, groups never lose values) is checked online.
 #[derive(Default)]
 struct ServeStats {
     epochs: u32,
     queries: u64,
     hits: u64,
     violations: Vec<String>,
-    last_combined: std::collections::HashMap<Vec<u8>, u64>,
-    last_grouped: std::collections::HashMap<Vec<u8>, usize>,
+    last: std::collections::HashMap<Vec<u8>, u64>,
 }
 
 /// Answer one epoch's Zipf-skewed query batch against its snapshot and
@@ -152,132 +160,121 @@ fn serve_epoch(
     let queries: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
     st.queries += queries.len() as u64;
     let it = snap.iteration();
-    match snap.organization() {
-        Organization::Combining(comb) => match snap.batch_get(exec, &queries) {
-            Ok(answers) => {
-                for (k, a) in owned.iter().zip(&answers) {
-                    let Some(v) = a else {
-                        if st.last_combined.contains_key(k) {
-                            st.violations.push(format!(
-                                "epoch {it}: key {:?} vanished",
-                                String::from_utf8_lossy(k)
-                            ));
-                        }
-                        continue;
-                    };
-                    st.hits += 1;
-                    let regressed = match (comb, st.last_combined.get(k)) {
-                        (Combiner::Add, Some(prev)) => v < prev,
-                        (Combiner::Or, Some(prev)) => v & prev != *prev,
-                        _ => false,
-                    };
-                    if regressed {
-                        st.violations.push(format!(
-                            "epoch {it}: key {:?} regressed to {v}",
-                            String::from_utf8_lossy(k)
-                        ));
-                    }
-                    st.last_combined.insert(k.clone(), *v);
-                }
+    let answers = match snap.organization() {
+        Organization::MultiValued => snap.batch_get_grouped(exec, &queries).map(|answers| {
+            let count = |vs: Vec<Vec<u8>>| vs.len() as u64;
+            answers.into_iter().map(|a| a.map(count)).collect()
+        }),
+        _ => snap.batch_get(exec, &queries),
+    };
+    let answers = match answers {
+        Ok(answers) => answers,
+        Err(e) => return st.violations.push(format!("epoch {it}: {e}")),
+    };
+    for (k, a) in owned.iter().zip(answers) {
+        let key = String::from_utf8_lossy(k);
+        let Some(v) = a else {
+            if st.last.contains_key(k) {
+                st.violations
+                    .push(format!("epoch {it}: key {key:?} vanished"));
             }
-            Err(e) => st.violations.push(format!("epoch {it}: {e}")),
-        },
-        Organization::MultiValued => match snap.batch_get_grouped(exec, &queries) {
-            Ok(answers) => {
-                for (k, a) in owned.iter().zip(&answers) {
-                    let Some(vs) = a else {
-                        if st.last_grouped.contains_key(k) {
-                            st.violations.push(format!(
-                                "epoch {it}: key {:?} vanished",
-                                String::from_utf8_lossy(k)
-                            ));
-                        }
-                        continue;
-                    };
-                    st.hits += 1;
-                    if st.last_grouped.get(k).is_some_and(|&prev| vs.len() < prev) {
-                        st.violations.push(format!(
-                            "epoch {it}: key {:?} lost values",
-                            String::from_utf8_lossy(k)
-                        ));
-                    }
-                    st.last_grouped.insert(k.clone(), vs.len());
-                }
-            }
-            Err(e) => st.violations.push(format!("epoch {it}: {e}")),
-        },
-        Organization::Basic => {}
+            continue;
+        };
+        st.hits += 1;
+        let regressed = st
+            .last
+            .get(k)
+            .is_some_and(|&prev| match snap.organization() {
+                Organization::Combining(Combiner::Add) | Organization::MultiValued => v < prev,
+                Organization::Combining(Combiner::Or) => v & prev != prev,
+                _ => false,
+            });
+        if regressed {
+            st.violations
+                .push(format!("epoch {it}: key {key:?} regressed to {v}"));
+        }
+        st.last.insert(k.clone(), v);
     }
 }
 
-/// Post-run serving oracle: no online violations, and every key the
-/// collectors report must answer identically from the finalized epoch.
+/// Post-run serving oracle: no online violations, every shard's last
+/// published epoch is its finalized one, and every key the collectors
+/// report answers identically through the hash-routed
+/// [`ShardedSnapshot`] view over those epochs.
 fn check_serving(
-    table: &sepo_core::SepoTable,
-    publisher: &sepo_core::EpochPublisher,
-    stats: &std::sync::Mutex<ServeStats>,
-    exec: &Executor,
+    tables: &[&SepoTable],
+    publishers: &[Arc<EpochPublisher>],
+    stats: &Mutex<ServeStats>,
+    execs: &[Executor],
 ) -> Result<String, String> {
     use sepo_core::Organization;
-    let st = stats.lock().unwrap();
+    let st = stats.lock().expect("no serving hook panicked");
     if let Some(v) = st.violations.first() {
         return Err(format!(
             "{} epoch violation(s), first: {v}",
             st.violations.len()
         ));
     }
-    let snap = publisher.current().ok_or("no epoch was ever published")?;
-    if !snap.finalized() {
-        return Err("last published epoch is not the finalized one".into());
+    let snaps = publishers
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            p.current()
+                .ok_or_else(|| format!("shard {i} never published an epoch"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let view = ShardedSnapshot::new(snaps);
+    if !view.finalized() {
+        return Err("a shard's last published epoch is not the finalized one".into());
     }
+    let sorted = |mut vs: Vec<Vec<u8>>| {
+        vs.sort();
+        vs
+    };
     let mut checked = 0usize;
-    match snap.organization() {
-        Organization::Combining(_) => {
-            let truth = table.collect_combining();
-            for chunk in truth.chunks(4096) {
-                let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                let ans = snap.batch_get(exec, &q).map_err(|e| e.to_string())?;
-                for ((k, v), a) in chunk.iter().zip(&ans) {
-                    if *a != Some(*v) {
-                        return Err(format!(
-                            "final epoch: key {:?} = {a:?}, collectors say {v}",
-                            String::from_utf8_lossy(k)
-                        ));
-                    }
-                    checked += 1;
-                }
+    for table in tables {
+        checked += match table.config().organization {
+            Organization::Combining(_) => agree(table.collect_combining(), 4096, |q| {
+                view.batch_get(execs, q)
+            })?,
+            Organization::MultiValued => {
+                let truth = table.collect_multivalued();
+                let truth = truth.into_iter().map(|(k, vs)| (k, sorted(vs))).collect();
+                agree(truth, 1024, |q| {
+                    let answers = view.batch_get_grouped(execs, q)?;
+                    Ok(answers.into_iter().map(|a| a.map(sorted)).collect())
+                })?
             }
-        }
-        Organization::MultiValued => {
-            let truth = table.collect_multivalued();
-            for chunk in truth.chunks(1024) {
-                let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                let ans = snap
-                    .batch_get_grouped(exec, &q)
-                    .map_err(|e| e.to_string())?;
-                for ((k, vs), a) in chunk.iter().zip(&ans) {
-                    let mut want = vs.clone();
-                    want.sort();
-                    let mut got = a.clone().unwrap_or_default();
-                    got.sort();
-                    if got != want {
-                        return Err(format!(
-                            "final epoch: key {:?} diverges ({} values vs {})",
-                            String::from_utf8_lossy(k),
-                            got.len(),
-                            want.len()
-                        ));
-                    }
-                    checked += 1;
-                }
-            }
-        }
-        Organization::Basic => {}
+            Organization::Basic => 0,
+        };
     }
     Ok(format!(
         "{} epochs, {} queries answered ({} hits), final epoch checked {checked} keys: oracle ok",
         st.epochs, st.queries, st.hits
     ))
+}
+
+/// Answer every collector key through `get`, `batch` keys at a time, and
+/// require each answer to equal the collectors' value. Returns the number
+/// of keys checked.
+fn agree<T: PartialEq + std::fmt::Debug>(
+    truth: Vec<(Vec<u8>, T)>,
+    batch: usize,
+    get: impl Fn(&[&[u8]]) -> Result<Vec<Option<T>>, sepo_core::QueryError>,
+) -> Result<usize, String> {
+    for chunk in truth.chunks(batch) {
+        let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
+        let answers = get(&q).map_err(|e| e.to_string())?;
+        for ((k, want), got) in chunk.iter().zip(answers) {
+            if got.as_ref() != Some(want) {
+                return Err(format!(
+                    "final epoch: key {:?} = {got:?}, collectors say {want:?}",
+                    String::from_utf8_lossy(k)
+                ));
+            }
+        }
+    }
+    Ok(truth.len())
 }
 
 /// Build the input dataset: `--input` file (one record per line) or the
@@ -289,15 +286,8 @@ fn load_dataset(app: App, f: &Flags) -> Result<sepo_datagen::Dataset, String> {
             // lint: io-ok (raw dataset input, not a checksummed image)
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let mut ds = sepo_datagen::Dataset::new();
-            let mut start = 0usize;
-            for (i, &b) in bytes.iter().enumerate() {
-                if b == b'\n' {
-                    ds.push_record(&bytes[start..=i]);
-                    start = i + 1;
-                }
-            }
-            if start < bytes.len() {
-                ds.push_record(&bytes[start..]);
+            for record in bytes.split_inclusive(|&b| b == b'\n') {
+                ds.push_record(record);
             }
             Ok(ds)
         }
@@ -305,18 +295,32 @@ fn load_dataset(app: App, f: &Flags) -> Result<sepo_datagen::Dataset, String> {
     }
 }
 
+/// `sepo run`: one application across `--shards N` simulated devices
+/// (N ≥ 1; one shard is the paper's single device). Every shard has its
+/// own device heap, warp pool, eviction pipe and fault streams, seeded
+/// `seed ^ shard` so shard 0 draws exactly the seeds of a one-shard run.
+/// With N > 1 an unsharded reference run is added: the merged canonical
+/// image must match it byte for byte, reported on the
+/// `sharded image vs 1 device: …` line, and divergence fails the process.
 fn cmd_run(app: App, f: Flags) -> ExitCode {
-    if f.shards > 1 {
-        return cmd_run_sharded(app, f);
+    let n = f.shards;
+    let sharded = n > 1;
+    if sharded && f.save.is_some() {
+        eprintln!("--save needs a single table image; it is not available with --shards > 1");
+        return ExitCode::FAILURE;
     }
     let spec = gpu_sim::SystemSpec::scaled(f.scale);
     let heap = f.heap.unwrap_or_else(|| device_heap(&spec));
+    let devices = if sharded {
+        format!("{n} shards, device heap {} per shard", fmt_bytes(heap))
+    } else {
+        format!("device heap {}", fmt_bytes(heap))
+    };
     println!(
-        "{} | dataset #{} at scale 1/{} | device heap {}",
+        "{} | dataset #{} at scale 1/{} | {devices}",
         app.name(),
         f.dataset,
-        f.scale,
-        fmt_bytes(heap)
+        f.scale
     );
     let ds = match load_dataset(app, &f) {
         Ok(ds) => ds,
@@ -336,199 +340,312 @@ fn cmd_run(app: App, f: Flags) -> ExitCode {
     } else {
         ExecMode::ParallelDeterministic
     };
-    let metrics = Arc::new(Metrics::new());
-    let mut exec = Executor::new(mode, Arc::clone(&metrics));
-    let mut plan = f.faults.map(|seed| {
-        println!("fault injection: standard rates, seed {seed}");
-        gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::standard(seed))
-    });
+    let seeds = if sharded { " (shard i: seed ^ i)" } else { "" };
+    if let Some(seed) = f.faults {
+        println!("fault injection: standard rates, seed {seed}{seeds}");
+    }
     if let Some(seed) = f.chaos_seed {
-        println!("chaos injection: hard device faults at standard rates, seed {seed}");
-        let base = plan
-            .take()
-            .unwrap_or_else(|| gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed)));
-        plan = Some(base.with_hard(gpu_sim::HardFaultConfig::standard(seed)));
+        println!("chaos injection: hard device faults at standard rates, seed {seed}{seeds}");
     }
     if let Some(seed) = f.corrupt {
-        println!("corruption injection: silent flips at standard rates, seed {seed}");
-        let base = plan
-            .take()
-            .unwrap_or_else(|| gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed)));
-        plan = Some(base.with_corruption(gpu_sim::CorruptionConfig::standard(seed)));
-    }
-    if let Some(plan) = plan {
-        exec = exec.with_faults(Arc::new(plan));
+        println!("corruption injection: silent flips at standard rates, seed {seed}{seeds}");
     }
     if f.sanitize {
-        exec = exec.with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         println!("shadow-memory sanitizer: on");
     }
-    // --checkpoint persists boundary checkpoints; --chaos-seed and
-    // --corrupt without a path still need somewhere to recover from, so
-    // they keep one in memory.
-    let needs_memory_ckp = f.chaos_seed.is_some() || f.corrupt.is_some();
-    let policy = match (&f.checkpoint, needs_memory_ckp) {
-        (Some(path), _) => sepo_core::CheckpointPolicy::Disk(path.into()),
-        (None, true) => sepo_core::CheckpointPolicy::Memory,
-        (None, false) => sepo_core::CheckpointPolicy::Off,
+    let shard_exec = |i: u32| -> Executor {
+        let seed = |s: u64| s ^ u64::from(i);
+        let mut plan = f
+            .faults
+            .map(|s| FaultPlan::new(FaultConfig::standard(seed(s))));
+        if let Some(s) = f.chaos_seed {
+            let base = plan
+                .take()
+                .unwrap_or_else(|| FaultPlan::new(FaultConfig::quiet(seed(s))));
+            plan = Some(base.with_hard(gpu_sim::HardFaultConfig::standard(seed(s))));
+        }
+        if let Some(s) = f.corrupt {
+            let base = plan
+                .take()
+                .unwrap_or_else(|| FaultPlan::new(FaultConfig::quiet(seed(s))));
+            plan = Some(base.with_corruption(gpu_sim::CorruptionConfig::standard(seed(s))));
+        }
+        let mut exec = Executor::new(mode, Arc::new(Metrics::new()));
+        if let Some(plan) = plan {
+            exec = exec.with_faults(Arc::new(plan));
+        }
+        if f.sanitize {
+            exec = exec.with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
+        }
+        exec
     };
-    let mut cfg = AppConfig::new(heap)
-        .with_audit(f.audit)
-        .with_combiner(f.combiner)
-        .with_sanitize(f.sanitize)
-        .with_evict_overlap(f.evict_overlap)
-        .with_scrub(f.scrub)
-        .with_checkpoint(policy.clone());
-    if needs_memory_ckp {
-        cfg = cfg.with_max_recoveries(32);
-    }
-    // --serve: epoch-snapshot serving under the live run. Every boundary's
-    // snapshot is handed to a hook that answers a Zipf-skewed query batch
-    // through a *separate* serving executor (own metrics, own fault
-    // stream); the run itself must stay byte-identical.
-    let serving = f.serve.then(|| {
-        let publisher = Arc::new(sepo_core::EpochPublisher::default());
-        let serve_metrics = Arc::new(Metrics::new());
-        let mut serve_exec = Executor::new(mode, Arc::clone(&serve_metrics));
-        if let Some(seed) = f.faults {
-            // A distinct fault stream: serving retries its own aborts.
-            serve_exec = serve_exec.with_faults(Arc::new(gpu_sim::FaultPlan::new(
-                gpu_sim::FaultConfig::standard(seed ^ 0x5E17),
-            )));
-        }
-        let serve_exec = Arc::new(serve_exec);
-        let stats = Arc::new(std::sync::Mutex::new(ServeStats::default()));
-        let per_epoch = f.queries;
-        {
-            let stats = Arc::clone(&stats);
-            let hook_exec = Arc::clone(&serve_exec);
-            publisher.on_epoch(move |snap| {
-                serve_epoch(snap, &hook_exec, per_epoch, &mut stats.lock().unwrap());
-            });
-        }
-        println!("serving: epoch snapshots on, {per_epoch} queries per epoch");
-        (publisher, stats, serve_exec, serve_metrics)
+
+    // --checkpoint persists boundary checkpoints: one SEPOCKP2 file for a
+    // single shard, one SEPOCKS2 container with a section per shard
+    // otherwise. --chaos-seed and --corrupt without a path still need
+    // somewhere to recover from, so they keep checkpoints in memory.
+    let recovering = f.chaos_seed.is_some() || f.corrupt.is_some();
+    let fallback = if recovering {
+        CheckpointPolicy::Memory
+    } else {
+        CheckpointPolicy::Off
+    };
+    let shared_ckp = f.checkpoint.as_ref().filter(|_| sharded).map(|path| {
+        println!("checkpoint: sharded SEPOCKS2 file at {path} ({n} sections)");
+        Arc::new(ShardedCheckpointFile::new(path.into(), n))
     });
-    if let Some((publisher, _, _, _)) = &serving {
-        cfg = cfg.with_serving(Arc::clone(publisher));
-    }
-    let run = run_app(app, &ds, &cfg, &exec);
-    if let Some(plan) = exec.faults() {
+    let policy = |i: u32| match (&shared_ckp, &f.checkpoint) {
+        (Some(file), _) => CheckpointPolicy::SharedDisk(Arc::clone(file), i),
+        (None, Some(path)) => CheckpointPolicy::Disk(path.into()),
+        (None, None) => fallback.clone(),
+    };
+    let base_cfg = |policy: CheckpointPolicy| {
+        let cfg = AppConfig::new(heap)
+            .with_audit(f.audit)
+            .with_combiner(f.combiner)
+            .with_sanitize(f.sanitize)
+            .with_evict_overlap(f.evict_overlap)
+            .with_scrub(f.scrub)
+            .with_checkpoint(policy);
+        if recovering {
+            cfg.with_max_recoveries(32)
+        } else {
+            cfg
+        }
+    };
+    // --serve: every shard hands each boundary's epoch snapshot to a hook
+    // that answers a Zipf-skewed query batch through that shard's own
+    // serving executor (own metrics, own fault stream); the run itself
+    // must stay byte-identical.
+    let serving = f.serve.then(|| {
+        let per_epoch = f.queries;
+        let stats = Arc::new(Mutex::new(ServeStats::default()));
+        let execs: Arc<Vec<Executor>> = Arc::new(
+            (0..n)
+                .map(|i| {
+                    let exec = Executor::new(mode, Arc::new(Metrics::new()));
+                    match f.faults {
+                        // A distinct fault stream: serving retries its own aborts.
+                        Some(seed) => exec.with_faults(Arc::new(FaultPlan::new(
+                            FaultConfig::standard(seed ^ 0x5E17 ^ u64::from(i)),
+                        ))),
+                        None => exec,
+                    }
+                })
+                .collect(),
+        );
+        let publishers: Vec<Arc<EpochPublisher>> = (0..n as usize)
+            .map(|i| {
+                let publisher = Arc::new(EpochPublisher::default());
+                let (stats, execs) = (Arc::clone(&stats), Arc::clone(&execs));
+                publisher.on_epoch(move |snap| {
+                    let mut st = stats.lock().expect("no serving hook panicked");
+                    serve_epoch(snap, &execs[i], per_epoch, &mut st);
+                });
+                publisher
+            })
+            .collect();
+        println!("serving: epoch snapshots on, {per_epoch} queries per epoch");
+        (publishers, execs, stats)
+    });
+    let shard_cfg = |i: u32| {
+        let cfg = base_cfg(policy(i));
+        match &serving {
+            Some((publishers, ..)) => cfg.with_serving(Arc::clone(&publishers[i as usize])),
+            None => cfg,
+        }
+    };
+    let execs: Vec<Executor> = (0..n).map(shard_exec).collect();
+    let cfgs: Vec<AppConfig> = (0..n).map(shard_cfg).collect();
+    let run = run_app_sharded(app, &ds, &cfgs, &execs);
+
+    let recovery = |g: fn(&RecoveryStats) -> u64| -> u64 {
+        run.shards.iter().map(|r| g(&r.outcome.recovery)).sum()
+    };
+    let plans: Vec<&Arc<FaultPlan>> = execs.iter().filter_map(Executor::faults).collect();
+    if let Some(plan) = plans.first() {
+        let injected = |g: fn(&FaultPlan) -> u64| -> u64 { plans.iter().map(|p| g(p)).sum() };
         println!(
             "  injected faults: {} lane aborts over {} draws",
-            plan.injected(gpu_sim::FaultSite::Lane),
-            plan.draws(gpu_sim::FaultSite::Lane)
+            injected(|p| p.injected(gpu_sim::FaultSite::Lane)),
+            injected(|p| p.draws(gpu_sim::FaultSite::Lane))
         );
         if plan.has_hard_faults() {
             println!(
                 "  hard faults: {} device losses, {} poisoned launches",
-                plan.hard_injected(gpu_sim::HardFaultKind::DeviceLost),
-                plan.hard_injected(gpu_sim::HardFaultKind::PoisonedLaunch)
+                injected(|p| p.hard_injected(gpu_sim::HardFaultKind::DeviceLost)),
+                injected(|p| p.hard_injected(gpu_sim::HardFaultKind::PoisonedLaunch))
             );
         }
         if plan.has_corruption() {
             // The run finished, so every injected flip was detected and
             // repaired — an escaped flip fails the run with a witness.
-            let rec = &run.outcome.recovery;
             println!(
                 "  integrity: recovered ({} flips injected: {} retransmits, \
                  {} checkpoint restores, {} image rewrites; {} host pages scrubbed clean)",
-                plan.total_corruption_injected(),
-                rec.retransmits,
-                rec.integrity_restores,
-                rec.checkpoint_rewrites,
-                rec.scrubbed_pages
+                injected(FaultPlan::total_corruption_injected),
+                recovery(|r| r.retransmits),
+                recovery(|r| r.integrity_restores.into()),
+                recovery(|r| r.checkpoint_rewrites.into()),
+                recovery(|r| r.scrubbed_pages)
             );
         }
     }
     if f.scrub && f.corrupt.is_none() {
         println!(
             "  scrub: {} finalized host pages verified",
-            run.outcome.recovery.scrubbed_pages
+            recovery(|r| r.scrubbed_pages)
         );
     }
-    if policy.is_enabled() {
-        let rec = &run.outcome.recovery;
+    if f.checkpoint.is_some() || recovering {
         println!(
             "  checkpoints: {} taken (latest {}), {} recoveries, {} iterations replayed",
-            rec.checkpoints_taken,
-            fmt_bytes(rec.checkpoint_bytes),
-            rec.recoveries,
-            rec.replayed_iterations
+            recovery(|r| r.checkpoints_taken.into()),
+            fmt_bytes(recovery(|r| r.checkpoint_bytes)),
+            recovery(|r| r.recoveries.into()),
+            recovery(|r| r.replayed_iterations.into())
         );
     }
     if f.audit {
         println!("  audit: every iteration boundary checked");
     }
-    if let Some(sz) = exec.shadow() {
-        println!("  sanitizer: {}", sz.report());
+    for (i, exec) in execs.iter().enumerate() {
+        if let Some(sz) = exec.shadow() {
+            let shard = if sharded {
+                format!(" (shard {i})")
+            } else {
+                String::new()
+            };
+            println!("  sanitizer{shard}: {}", sz.report());
+        }
     }
-    let snap = metrics.snapshot();
-    if f.combiner && snap.combiner_hits + snap.combiner_flushes > 0 {
+    let snaps: Vec<Snapshot> = execs.iter().map(|e| e.metrics().snapshot()).collect();
+    let events = |g: fn(&Snapshot) -> u64| -> u64 { snaps.iter().map(g).sum() };
+    let (hits, flushes) = (events(|s| s.combiner_hits), events(|s| s.combiner_flushes));
+    if f.combiner && hits + flushes > 0 {
         println!(
-            "  warp combiner: {} emits absorbed, {} batched flushes, {} overflows",
-            snap.combiner_hits, snap.combiner_flushes, snap.combiner_overflows
+            "  warp combiner: {hits} emits absorbed, {flushes} batched flushes, {} overflows",
+            events(|s| s.combiner_overflows)
         );
     }
-    println!("  head CAS retries: {}", snap.head_cas_retries);
-    let hist = run.table.full_contention_histogram();
-    let gpu = gpu_total_time(&run.outcome, &hist, &spec);
-    let (pages, bytes) = run.table.host_footprint();
+    println!("  head CAS retries: {}", events(|s| s.head_cas_retries));
+    let hists: Vec<_> = run
+        .shards
+        .iter()
+        .map(|r| r.table.full_contention_histogram())
+        .collect();
+    let parts: Vec<_> = run
+        .shards
+        .iter()
+        .zip(&hists)
+        .map(|(r, h)| (&r.outcome, h))
+        .collect();
+    let gpu = sharded_total_time(&parts, &spec);
 
-    let stats = run.table.table_stats();
+    let shapes: Vec<_> = run.shards.iter().map(|r| r.table.table_stats()).collect();
     println!("\nGPU/SEPO run");
-    println!("  iterations        {}", gpu.iterations);
+    if sharded {
+        for (i, (r, routed)) in run.shards.iter().zip(&run.routed_records).enumerate() {
+            println!(
+                "  shard {i}: {:>6} records routed, {:>2} iterations, {:>9} evicted, {:>6} keys",
+                routed,
+                r.iterations(),
+                fmt_bytes(r.outcome.total_evicted_bytes()),
+                shapes[i].distinct_keys
+            );
+        }
+    }
+    let across = |note: &'static str| if sharded { note } else { "" };
+    let (pages, bytes) = run
+        .shards
+        .iter()
+        .map(|r| r.table.host_footprint())
+        .fold((0, 0), |(p, b), (sp, sb)| (p + sp, b + sb));
+    let evicted = run.shards.iter().map(|r| r.outcome.total_evicted_bytes());
+    println!(
+        "  iterations        {}{}",
+        gpu.iterations,
+        across(" (slowest shard)")
+    );
     println!(
         "  table (host side) {} in {} pages",
         fmt_bytes(bytes),
         pages
     );
+    println!("  evicted to CPU    {}", fmt_bytes(evicted.sum()));
     println!(
-        "  evicted to CPU    {}",
-        fmt_bytes(run.outcome.total_evicted_bytes())
+        "  sim time          {}{}",
+        gpu.total,
+        across(" (per-iteration max across shards)")
     );
-    println!("  sim time          {}", gpu.total);
     println!(
         "    kernels {} | transfers {} | contention {}",
         gpu.kernel, gpu.transfers, gpu.contention
     );
+    // Shards partition the keys, so the tables' union has summed keys,
+    // buckets and occupied buckets (the mean chain is keys per occupied
+    // bucket).
+    let keys: u64 = shapes.iter().map(|s| s.distinct_keys).sum();
+    let buckets: u64 = shapes.iter().map(|s| s.buckets).sum();
+    let occupied: u64 = shapes.iter().map(|s| s.occupied_buckets).sum();
     println!(
-        "  table shape       {} keys over {} buckets (load factor {:.2}, max chain {}, mean {:.2})",
-        stats.distinct_keys, stats.buckets, stats.load_factor, stats.max_chain, stats.mean_chain
+        "  table shape       {keys} keys over {buckets} buckets (load factor {:.2}, max chain {}, mean {:.2})",
+        keys as f64 / buckets as f64,
+        shapes.iter().map(|s| s.max_chain).max().unwrap_or(0),
+        keys as f64 / occupied.max(1) as f64
     );
 
-    let cpu = if App::MAPREDUCE.contains(&app) {
+    let mut identical = true;
+    if sharded {
+        // Unsharded reference: one device, same heap and flags, shard 0's
+        // fault seeds. The merged canonical image must match it byte for
+        // byte.
+        let reference = run_app(app, &ds, &base_cfg(fallback.clone()), &shard_exec(0));
+        let ref_hist = reference.table.full_contention_histogram();
+        let ref_gpu = gpu_total_time(&reference.outcome, &ref_hist, &spec);
+        identical = run.image == unsharded_image(&reference);
+        println!("\nunsharded reference (1 device, same heap)");
+        println!("  iterations        {}", ref_gpu.iterations);
+        println!("  sim time          {}", ref_gpu.total);
+        println!(
+            "\nsharded image vs 1 device: {}",
+            if identical { "identical" } else { "DIVERGED" }
+        );
+        println!(
+            "speedup vs 1 device {}",
+            fmt_speedup(ref_gpu.total.ratio(gpu.total))
+        );
+    }
+
+    let (cpu, baseline) = if App::MAPREDUCE.contains(&app) {
         let p = run_phoenix(app, &ds);
-        cpu_total_time(&p.snapshot, &p.contention, &spec)
+        let cpu = cpu_total_time(&p.snapshot, &p.contention, &spec);
+        (cpu, "Phoenix++-style")
     } else {
         let b = run_cpu_app(app, &ds);
-        cpu_total_time(&b.snapshot, &b.contention, &spec)
+        let cpu = cpu_total_time(&b.snapshot, &b.contention, &spec);
+        (cpu, "shared hash table, 8 threads")
     };
     println!("\nCPU baseline");
-    println!(
-        "  sim time          {} ({})",
-        cpu,
-        if App::MAPREDUCE.contains(&app) {
-            "Phoenix++-style"
-        } else {
-            "shared hash table, 8 threads"
-        }
-    );
+    println!("  sim time          {cpu} ({baseline})");
     println!(
         "\nspeedup             {}",
         fmt_speedup(cpu.ratio(gpu.total))
     );
 
-    if let Some((publisher, stats, serve_exec, serve_metrics)) = &serving {
-        match check_serving(&run.table, publisher, stats, serve_exec) {
+    if let Some((publishers, serve_execs, stats)) = &serving {
+        let tables: Vec<&SepoTable> = run.shards.iter().map(|r| &r.table).collect();
+        match check_serving(&tables, publishers, stats, serve_execs) {
             Ok(summary) => {
-                let s = serve_metrics.snapshot();
+                let traffic = |g: fn(&Snapshot) -> u64| -> u64 {
+                    serve_execs.iter().map(|e| g(&e.metrics().snapshot())).sum()
+                };
                 println!("\nserving under the run");
                 println!("  {summary}");
                 println!(
                     "  serving traffic: {} bulk transfers, {} over PCIe (charged off-run)",
-                    s.pcie_bulk_transfers,
-                    fmt_bytes(s.pcie_bulk_bytes)
+                    traffic(|s| s.pcie_bulk_transfers),
+                    fmt_bytes(traffic(|s| s.pcie_bulk_bytes))
                 );
             }
             Err(e) => {
@@ -539,324 +656,18 @@ fn cmd_run(app: App, f: Flags) -> ExitCode {
     }
 
     if let Some(path) = &f.save {
+        // lint: shard-ok (--save runs with one shard only)
+        let table = &run.shards[0].table;
         // lint: io-ok (save() appends the SEPOHST2 checksum trailer)
-        match std::fs::File::create(path) {
-            Ok(mut file) => match run.table.save(&mut file) {
-                Ok(()) => println!("table image saved to {path}"),
-                Err(e) => {
-                    eprintln!("cannot save table: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+        let saved = std::fs::File::create(path).and_then(|mut file| table.save(&mut file));
+        match saved {
+            Ok(()) => println!("table image saved to {path}"),
             Err(e) => {
-                eprintln!("cannot create {path}: {e}");
+                eprintln!("cannot save table to {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    ExitCode::SUCCESS
-}
-
-/// `sepo run --shards N`: the same run sharded across N simulated devices
-/// (per-shard device heap, warp pool, eviction pipe, fault streams), plus
-/// an unsharded reference run the merged canonical image is checked
-/// against. Prints the `sharded image vs 1 device: …` identity line CI
-/// greps for and fails the process on divergence.
-fn cmd_run_sharded(app: App, f: Flags) -> ExitCode {
-    use sepo_apps::sharded::{run_app_sharded, unsharded_image};
-    let n = f.shards;
-    let spec = gpu_sim::SystemSpec::scaled(f.scale);
-    let heap = f.heap.unwrap_or_else(|| device_heap(&spec));
-    if f.save.is_some() {
-        eprintln!("--save needs a single table image; it is not available with --shards > 1");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "{} | dataset #{} at scale 1/{} | {n} shards, device heap {} per shard",
-        app.name(),
-        f.dataset,
-        f.scale,
-        fmt_bytes(heap)
-    );
-    let ds = match load_dataset(app, &f) {
-        Ok(ds) => ds,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "input: {} ({} records)",
-        fmt_bytes(ds.size_bytes()),
-        ds.len()
-    );
-
-    let mode = if f.parallel {
-        ExecMode::Parallel { workers: 0 }
-    } else {
-        ExecMode::ParallelDeterministic
-    };
-    if let Some(seed) = f.faults {
-        println!("fault injection: standard rates, per-shard seeds from {seed}");
-    }
-    if let Some(seed) = f.chaos_seed {
-        println!("chaos injection: hard device faults, per-shard seeds from {seed}");
-    }
-    if let Some(seed) = f.corrupt {
-        println!("corruption injection: silent flips, per-shard seeds from {seed}");
-    }
-    if f.sanitize {
-        println!("shadow-memory sanitizer: on (per shard)");
-    }
-
-    // Shard i derives its fault streams from `seed ^ i`: every simulated
-    // device sees its own independent faults.
-    let shard_exec = |i: u32| -> Executor {
-        let mut exec = Executor::new(mode, Arc::new(Metrics::new()));
-        let mut plan = f.faults.map(|seed| {
-            gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::standard(seed ^ u64::from(i)))
-        });
-        if let Some(seed) = f.chaos_seed {
-            let base = plan.take().unwrap_or_else(|| {
-                gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed ^ u64::from(i)))
-            });
-            plan = Some(base.with_hard(gpu_sim::HardFaultConfig::standard(seed ^ u64::from(i))));
-        }
-        if let Some(seed) = f.corrupt {
-            let base = plan.take().unwrap_or_else(|| {
-                gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed ^ u64::from(i)))
-            });
-            plan = Some(
-                base.with_corruption(gpu_sim::CorruptionConfig::standard(seed ^ u64::from(i))),
-            );
-        }
-        if let Some(plan) = plan {
-            exec = exec.with_faults(Arc::new(plan));
-        }
-        if f.sanitize {
-            exec = exec.with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
-        }
-        exec
-    };
-
-    // --checkpoint with shards writes one SEPOCKS1 file with a section per
-    // shard; --chaos-seed without a path keeps per-shard memory checkpoints.
-    let shared_ckp = f.checkpoint.as_ref().map(|path| {
-        println!("checkpoint: sharded SEPOCKS1 file at {path} ({n} sections)");
-        Arc::new(sepo_core::ShardedCheckpointFile::new(path.into(), n))
-    });
-    let publishers = f.serve.then(|| {
-        println!("serving: per-shard epoch snapshots on; finalized sharded-view oracle");
-        (0..n)
-            .map(|_| Arc::new(sepo_core::EpochPublisher::default()))
-            .collect::<Vec<_>>()
-    });
-
-    let execs: Vec<Executor> = (0..n).map(shard_exec).collect();
-    let cfgs: Vec<AppConfig> = (0..n)
-        .map(|i| {
-            let needs_memory_ckp = f.chaos_seed.is_some() || f.corrupt.is_some();
-            let policy = match (&shared_ckp, needs_memory_ckp) {
-                (Some(file), _) => sepo_core::CheckpointPolicy::SharedDisk(Arc::clone(file), i),
-                (None, true) => sepo_core::CheckpointPolicy::Memory,
-                (None, false) => sepo_core::CheckpointPolicy::Off,
-            };
-            let mut cfg = AppConfig::new(heap)
-                .with_audit(f.audit)
-                .with_combiner(f.combiner)
-                .with_sanitize(f.sanitize)
-                .with_evict_overlap(f.evict_overlap)
-                .with_scrub(f.scrub)
-                .with_checkpoint(policy);
-            if needs_memory_ckp {
-                cfg = cfg.with_max_recoveries(32);
-            }
-            if let Some(pubs) = &publishers {
-                cfg = cfg.with_serving(Arc::clone(&pubs[i as usize]));
-            }
-            cfg
-        })
-        .collect();
-
-    let sharded = run_app_sharded(app, &ds, &cfgs, &execs);
-
-    // Unsharded reference: one device, same heap and flags, base fault
-    // seeds. The merged canonical image must match it byte for byte.
-    let ref_exec = shard_exec(0);
-    let mut ref_cfg = AppConfig::new(heap)
-        .with_audit(f.audit)
-        .with_combiner(f.combiner)
-        .with_sanitize(f.sanitize)
-        .with_evict_overlap(f.evict_overlap)
-        .with_scrub(f.scrub);
-    if f.chaos_seed.is_some() || f.corrupt.is_some() {
-        ref_cfg = ref_cfg
-            .with_checkpoint(sepo_core::CheckpointPolicy::Memory)
-            .with_max_recoveries(32);
-    }
-    let reference = run_app(app, &ds, &ref_cfg, &ref_exec);
-    let identical = sharded.image == unsharded_image(&reference);
-
-    println!("\nGPU/SEPO sharded run");
-    for (i, (run, routed)) in sharded
-        .shards
-        .iter()
-        .zip(&sharded.routed_records)
-        .enumerate()
-    {
-        let stats = run.table.table_stats();
-        println!(
-            "  shard {i}: {:>6} records routed, {:>2} iterations, {:>9} evicted, {:>6} keys",
-            routed,
-            run.iterations(),
-            fmt_bytes(run.outcome.total_evicted_bytes()),
-            stats.distinct_keys
-        );
-    }
-    if f.faults.is_some() || f.chaos_seed.is_some() {
-        for (i, exec) in execs.iter().enumerate() {
-            if let Some(plan) = exec.faults() {
-                print!(
-                    "  shard {i} faults: {} lane aborts over {} draws",
-                    plan.injected(gpu_sim::FaultSite::Lane),
-                    plan.draws(gpu_sim::FaultSite::Lane)
-                );
-                if plan.has_hard_faults() {
-                    print!(
-                        "; {} device losses, {} poisoned launches",
-                        plan.hard_injected(gpu_sim::HardFaultKind::DeviceLost),
-                        plan.hard_injected(gpu_sim::HardFaultKind::PoisonedLaunch)
-                    );
-                }
-                println!();
-            }
-        }
-    }
-    if shared_ckp.is_some() || f.chaos_seed.is_some() {
-        let taken: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.checkpoints_taken)
-            .sum();
-        let recoveries: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.recoveries)
-            .sum();
-        let replayed: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.replayed_iterations)
-            .sum();
-        println!(
-            "  checkpoints: {taken} taken across shards, {recoveries} recoveries, \
-             {replayed} iterations replayed"
-        );
-    }
-    if f.corrupt.is_some() {
-        let injected: u64 = execs
-            .iter()
-            .filter_map(|e| e.faults())
-            .map(|p| p.total_corruption_injected())
-            .sum();
-        let retransmits: u64 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.retransmits)
-            .sum();
-        let restores: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.integrity_restores)
-            .sum();
-        let rewrites: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.checkpoint_rewrites)
-            .sum();
-        let scrubbed: u64 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.scrubbed_pages)
-            .sum();
-        println!(
-            "  integrity: recovered ({injected} flips injected across shards: \
-             {retransmits} retransmits, {restores} checkpoint restores, \
-             {rewrites} image rewrites; {scrubbed} host pages scrubbed clean)"
-        );
-    }
-    if f.audit {
-        println!("  audit: every shard, every iteration boundary checked");
-    }
-
-    let hists: Vec<_> = sharded
-        .shards
-        .iter()
-        .map(|r| r.table.full_contention_histogram())
-        .collect();
-    let parts: Vec<_> = sharded
-        .shards
-        .iter()
-        .zip(&hists)
-        .map(|(r, h)| (&r.outcome, h))
-        .collect();
-    let gpu = sharded_total_time(&parts, &spec);
-    let ref_hist = reference.table.full_contention_histogram();
-    let ref_gpu = gpu_total_time(&reference.outcome, &ref_hist, &spec);
-
-    println!("  iterations        {} (slowest shard)", gpu.iterations);
-    println!(
-        "  sim time          {} (per-iteration max across shards)",
-        gpu.total
-    );
-    println!(
-        "    kernels {} | transfers {} | contention {}",
-        gpu.kernel, gpu.transfers, gpu.contention
-    );
-    println!("\nunsharded reference (1 device, same heap)");
-    println!("  iterations        {}", ref_gpu.iterations);
-    println!("  sim time          {}", ref_gpu.total);
-    println!(
-        "\nsharded image vs 1 device: {}",
-        if identical { "identical" } else { "DIVERGED" }
-    );
-    println!(
-        "speedup vs 1 device {}",
-        fmt_speedup(ref_gpu.total.ratio(gpu.total))
-    );
-
-    if let Some(pubs) = &publishers {
-        let mut snaps = Vec::new();
-        for (i, p) in pubs.iter().enumerate() {
-            match p.current() {
-                Some(s) => snaps.push(s),
-                None => {
-                    eprintln!("serving oracle FAILED: shard {i} never published an epoch");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let view = sepo_core::ShardedSnapshot::new(snaps);
-        if !view.finalized() {
-            eprintln!("serving oracle FAILED: a shard's last epoch is not the finalized one");
-            return ExitCode::FAILURE;
-        }
-        let serve_execs: Vec<Executor> = (0..n)
-            .map(|_| Executor::new(mode, Arc::new(Metrics::new())))
-            .collect();
-        let tables: Vec<&sepo_core::SepoTable> = sharded.shards.iter().map(|r| &r.table).collect();
-        match check_sharded_serving(&tables, &view, &serve_execs) {
-            Ok(summary) => {
-                println!("\nserving over the sharded view");
-                println!("  {summary}");
-            }
-            Err(e) => {
-                eprintln!("serving oracle FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     if identical {
         ExitCode::SUCCESS
     } else {
@@ -864,69 +675,8 @@ fn cmd_run_sharded(app: App, f: Flags) -> ExitCode {
     }
 }
 
-/// Post-run oracle for `--shards N --serve`: every key every shard's
-/// collectors report must answer identically through the hash-routed
-/// [`sepo_core::ShardedSnapshot`] view.
-fn check_sharded_serving(
-    tables: &[&sepo_core::SepoTable],
-    view: &sepo_core::ShardedSnapshot,
-    execs: &[Executor],
-) -> Result<String, String> {
-    use sepo_core::Organization;
-    let mut checked = 0usize;
-    for table in tables {
-        match table.config().organization {
-            Organization::Combining(_) => {
-                let truth = table.collect_combining();
-                for chunk in truth.chunks(4096) {
-                    let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                    let ans = view.batch_get(execs, &q).map_err(|e| e.to_string())?;
-                    for ((k, v), a) in chunk.iter().zip(&ans) {
-                        if *a != Some(*v) {
-                            return Err(format!(
-                                "sharded view: key {:?} = {a:?}, collectors say {v}",
-                                String::from_utf8_lossy(k)
-                            ));
-                        }
-                        checked += 1;
-                    }
-                }
-            }
-            Organization::MultiValued => {
-                let truth = table.collect_multivalued();
-                for chunk in truth.chunks(1024) {
-                    let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                    let ans = view
-                        .batch_get_grouped(execs, &q)
-                        .map_err(|e| e.to_string())?;
-                    for ((k, vs), a) in chunk.iter().zip(&ans) {
-                        let mut want = vs.clone();
-                        want.sort();
-                        let mut got = a.clone().unwrap_or_default();
-                        got.sort();
-                        if got != want {
-                            return Err(format!(
-                                "sharded view: key {:?} diverges ({} values vs {})",
-                                String::from_utf8_lossy(k),
-                                got.len(),
-                                want.len()
-                            ));
-                        }
-                        checked += 1;
-                    }
-                }
-            }
-            Organization::Basic => {}
-        }
-    }
-    Ok(format!(
-        "{} shards, every collector key answered through the routed view: {checked} keys ok",
-        tables.len()
-    ))
-}
-
 fn cmd_query(path: &str, keys: &[String]) -> ExitCode {
-    use sepo_core::{HostIndex, Organization, SepoTable};
+    use sepo_core::{HostIndex, Organization};
     // lint: io-ok (load() verifies the SEPOHST2 trailer before parsing)
     let mut file = match std::fs::File::open(path) {
         Ok(f) => f,

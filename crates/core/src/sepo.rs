@@ -958,7 +958,7 @@ impl<'a> SepoDriver<'a> {
             if self.config.checkpoint.is_enabled() {
                 // A checkpoint must capture a *quiescent* host heap: wait
                 // out this boundary's in-flight eviction DMA and adopt the
-                // images first, so the `SEPOCKP1` image matches what a
+                // images first, so the `SEPOCKP2` image matches what a
                 // synchronous run captures and a restore rebuilds it.
                 if let Some(p) = pipe.as_mut() {
                     let adopted = p.quiesce();

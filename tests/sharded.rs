@@ -1,14 +1,19 @@
-//! Multi-device sharded execution, end to end: hard-fault recovery on a
-//! single shard must be invisible (per-shard images, trajectories, and the
-//! merged canonical image all byte-identical to an unkilled run), and the
-//! shared SEPOCKS1 checkpoint file must carry a restorable section for
-//! every shard.
+//! Multi-device sharded execution, end to end: a one-shard run must be
+//! the unsharded run in every observable (the CLI runs everything through
+//! the sharded path), hard-fault recovery on a single shard must be
+//! invisible (per-shard images, trajectories, and the merged canonical
+//! image all byte-identical to an unkilled run), and the shared SEPOCKS2
+//! checkpoint file must carry a restorable section for every shard.
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
-use sepo_apps::sharded::{run_app_sharded, ShardedAppRun};
-use sepo_apps::AppConfig;
+use gpu_sim::{
+    CorruptionConfig, FaultConfig, FaultPlan, FaultSite, HardFaultConfig, HardFaultKind,
+    ShadowSanitizer,
+};
+use sepo_apps::sharded::{run_app_sharded, unsharded_image, ShardedAppRun};
+use sepo_apps::{run_app, AppConfig};
+use sepo_bench::{gpu_total_time, sharded_total_time, GpuTiming};
 use sepo_core::{read_sharded_from_path, CheckpointPolicy, ShardedCheckpointFile};
 use sepo_datagen::{App, Dataset};
 use std::sync::Arc;
@@ -129,7 +134,7 @@ fn killing_one_shards_device_resumes_byte_identically() {
 }
 
 /// A sharded run writing through one `ShardedCheckpointFile` leaves a
-/// SEPOCKS1 file with a readable section per shard, each sized to its
+/// SEPOCKS2 file with a readable section per shard, each sized to its
 /// shard's routed task count — the state a cross-process resume restores
 /// shard by shard.
 #[test]
@@ -154,7 +159,7 @@ fn shared_disk_checkpoint_carries_a_section_per_shard() {
         );
     }
 
-    let sections = read_sharded_from_path(&path).expect("read SEPOCKS1 file back");
+    let sections = read_sharded_from_path(&path).expect("read SEPOCKS2 file back");
     std::fs::remove_file(&path).ok();
     assert_eq!(sections.len(), N as usize, "one section per shard");
     for (i, (section, shard)) in sections.iter().zip(run.shards.iter()).enumerate() {
@@ -172,5 +177,110 @@ fn shared_disk_checkpoint_carries_a_section_per_shard() {
             ckp.iteration(),
             shard.iterations()
         );
+    }
+}
+
+/// Everything a run reports that the CLI prints or prices: result images,
+/// trajectory, recovery, event counters, injected faults, and the
+/// simulated timing.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    canonical: Vec<u8>,
+    table: Vec<u8>,
+    trajectory: Vec<sepo_core::IterationStats>,
+    recovery: sepo_core::RecoveryStats,
+    metrics: gpu_sim::Snapshot,
+    injected: [u64; 5],
+    timing: [gpu_sim::SimTime; 4],
+    iterations: u32,
+}
+
+fn observe(run: &sepo_apps::AppRun, canonical: Vec<u8>, exec: &Executor, t: GpuTiming) -> Observed {
+    let injected = exec.faults().map_or([0; 5], |p| {
+        [
+            p.injected(FaultSite::Lane),
+            p.draws(FaultSite::Lane),
+            p.hard_injected(HardFaultKind::DeviceLost),
+            p.hard_injected(HardFaultKind::PoisonedLaunch),
+            p.total_corruption_injected(),
+        ]
+    });
+    Observed {
+        canonical,
+        table: shard_image(run),
+        trajectory: run.outcome.iterations.clone(),
+        recovery: run.outcome.recovery,
+        metrics: exec.metrics().snapshot(),
+        injected,
+        timing: [t.total, t.kernel, t.transfers, t.contention],
+        iterations: t.iterations,
+    }
+}
+
+/// `sepo run` executes every run, N = 1 included, through
+/// `run_app_sharded` and prices it with `sharded_total_time`. That is
+/// sound only if one shard is the unsharded run in every observable, under
+/// hard faults and silent corruption as well as clean: this pins it for
+/// all seven applications in the CI smoke setting (scale 1/16384, 96 KiB
+/// heap, audit and combiner on).
+#[test]
+fn one_shard_run_is_the_unsharded_run() {
+    let spec = gpu_sim::SystemSpec::scaled(16_384);
+    for app in App::ALL {
+        let ds = app.generate(0, 16_384);
+        for name in ["chaos", "corruption", "clean"] {
+            // The plans `sepo run --chaos-seed 142` and `--corrupt 2` build.
+            let plan = || match name {
+                "chaos" => Some(
+                    FaultPlan::new(FaultConfig::quiet(142))
+                        .with_hard(HardFaultConfig::standard(142)),
+                ),
+                "corruption" => Some(
+                    FaultPlan::new(FaultConfig::quiet(2))
+                        .with_corruption(CorruptionConfig::standard(2)),
+                ),
+                _ => None,
+            };
+            let mut cfg = AppConfig::new(98_304).with_audit(true);
+            if plan().is_some() {
+                cfg = cfg
+                    .with_checkpoint(CheckpointPolicy::Memory)
+                    .with_max_recoveries(32);
+            }
+            let exec = || {
+                let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
+                match plan() {
+                    Some(plan) => exec.with_faults(Arc::new(plan)),
+                    None => exec,
+                }
+            };
+
+            let single_exec = exec();
+            let single = run_app(app, &ds, &cfg, &single_exec);
+            let hist = single.table.full_contention_histogram();
+            let timing = gpu_total_time(&single.outcome, &hist, &spec);
+            let want = observe(&single, unsharded_image(&single), &single_exec, timing);
+
+            let shard_exec = [exec()];
+            let sharded = run_app_sharded(app, &ds, std::slice::from_ref(&cfg), &shard_exec);
+            let shard = &sharded.shards[0];
+            let hist = shard.table.full_contention_histogram();
+            let timing = sharded_total_time(&[(&shard.outcome, &hist)], &spec);
+            let got = observe(shard, sharded.image.clone(), &shard_exec[0], timing);
+
+            assert_eq!(
+                got,
+                want,
+                "{} ({name}): one shard diverged from the unsharded run",
+                app.name()
+            );
+            // A plan that never struck would prove nothing.
+            let struck = match name {
+                "chaos" => want.injected[2],
+                "corruption" => want.injected[4],
+                _ => 1,
+            };
+            assert!(struck > 0, "{} ({name}): the plan never struck", app.name());
+        }
     }
 }
