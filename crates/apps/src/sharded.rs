@@ -28,7 +28,7 @@ use gpu_sim::executor::Executor;
 use parking_lot::Mutex;
 use sepo_core::config::{Combiner, Organization};
 use sepo_core::hash::fnv1a;
-use sepo_core::shard::{audit_ownership, shard_bits};
+use sepo_core::shard::{audited_image, shard_bits};
 use sepo_core::table::SepoTable;
 use sepo_core::{canonical_image, shard_of, shard_of_key, ShardSpec};
 use sepo_datagen::geo::parse_article;
@@ -215,9 +215,10 @@ pub fn unsharded_image(run: &AppRun) -> Vec<u8> {
 /// Each shard gets the router's sub-dataset and a table pinned to its
 /// [`ShardSpec`] slice; shards execute concurrently on the shared worker
 /// pool, so their simulated kernels overlap in wall-clock time while each
-/// shard stays internally deterministic. After the runs complete the
-/// cross-shard ownership audit must pass (a stored foreign key is a router
-/// or filter bug and panics), and the merged canonical image is computed.
+/// shard stays internally deterministic. After the runs complete each
+/// shard's results are collected once: the cross-shard ownership audit
+/// must pass on them (a stored foreign key is a router or filter bug and
+/// panics), and they merge into the canonical image.
 pub fn run_app_sharded(
     app: App,
     dataset: &Dataset,
@@ -265,10 +266,8 @@ pub fn run_app_sharded(
         .map(|c| c.into_inner().expect("shard run completed"))
         .collect();
     let tables: Vec<&SepoTable> = shards.iter().map(|r| &r.table).collect();
-    if let Err(e) = audit_ownership(&tables) {
-        panic!("cross-shard ownership audit failed: {e}");
-    }
-    let image = canonical_image(&tables);
+    let image = audited_image(&tables)
+        .unwrap_or_else(|e| panic!("cross-shard ownership audit failed: {e}"));
     ShardedAppRun {
         routed_records: subsets.iter().map(|d| d.len()).collect(),
         shards,

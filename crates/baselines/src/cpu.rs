@@ -13,6 +13,7 @@
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::{ContentionHistogram, Metrics, Snapshot};
 use sepo_apps::{run_app, AppConfig};
+use sepo_core::SepoTable;
 use sepo_datagen::{App, Dataset};
 use std::sync::Arc;
 
@@ -22,8 +23,15 @@ pub struct BaselineRun {
     pub snapshot: Snapshot,
     /// Per-bucket update profile for the contention term.
     pub contention: ContentionHistogram,
-    /// Number of distinct result keys (verification/reporting).
-    pub result_keys: usize,
+    /// The finalized result table (verification/reporting).
+    pub table: SepoTable,
+}
+
+impl BaselineRun {
+    /// Number of distinct result keys, collected on demand.
+    pub fn result_keys(&self) -> usize {
+        self.table.collect_grouped().len()
+    }
 }
 
 /// Heap size that guarantees single-pass execution: comfortably larger
@@ -43,12 +51,10 @@ pub fn run_cpu_app(app: App, dataset: &Dataset) -> BaselineRun {
         1,
         "CPU baseline must never postpone: heap sized too small"
     );
-    let contention = run.table.full_contention_histogram();
-    let result_keys = run.table.collect_grouped().len();
     BaselineRun {
         snapshot: metrics.snapshot(),
-        contention,
-        result_keys,
+        contention: run.table.full_contention_histogram(),
+        table: run.table,
     }
 }
 
@@ -63,7 +69,7 @@ mod tests {
         assert!(run.snapshot.compute_units > 0);
         assert!(run.snapshot.device_bytes > 0);
         assert_eq!(run.snapshot.alloc_postponed, 0, "no SEPO on the CPU");
-        assert!(run.result_keys > 0);
+        assert!(run.result_keys() > 0);
         assert!(run.contention.total_updates() > 0);
     }
 
@@ -72,7 +78,7 @@ mod tests {
         let ds = App::PageViewCount.generate(0, 32_768);
         let reference = sepo_apps::pvc::reference(&ds);
         let run = run_cpu_app(App::PageViewCount, &ds);
-        assert_eq!(run.result_keys, reference.len());
+        assert_eq!(run.result_keys(), reference.len());
     }
 
     #[test]
@@ -85,7 +91,7 @@ mod tests {
         ] {
             let ds = app.generate(0, 32_768);
             let run = run_cpu_app(app, &ds);
-            assert!(run.result_keys > 0, "{}", app.name());
+            assert!(run.result_keys() > 0, "{}", app.name());
         }
     }
 }

@@ -25,6 +25,7 @@ use gpu_sim::metrics::{ContentionHistogram, Snapshot};
 use sepo_apps::{geoloc, partition_of, patent, wordcount};
 use sepo_core::config::{Combiner, TableConfig};
 use sepo_core::sepo::DriverConfig;
+use sepo_core::SepoTable;
 use sepo_datagen::{App, Dataset};
 use sepo_mapreduce::{run_job, JobConfig, Mode};
 use std::fmt;
@@ -57,7 +58,6 @@ impl std::error::Error for OutOfMemory {}
 pub const MAPCG_ALLOC_SERIAL_NS: u64 = 20;
 
 /// Outcome of a successful MapCG run.
-#[derive(Debug)]
 pub struct MapCgRun {
     pub snapshot: Snapshot,
     /// Bucket contention plus the central allocator's bump word.
@@ -67,7 +67,15 @@ pub struct MapCgRun {
     pub alloc_serial: gpu_sim::SimTime,
     /// Bytes of results the runtime must download.
     pub output_bytes: u64,
-    pub result_keys: usize,
+    /// The finalized result table.
+    pub table: SepoTable,
+}
+
+impl MapCgRun {
+    /// Number of distinct result keys, collected on demand.
+    pub fn result_keys(&self) -> usize {
+        self.table.collect_grouped().len()
+    }
 }
 
 /// Run `app` on the MapCG-like runtime with `heap_bytes` of device memory.
@@ -135,13 +143,12 @@ pub fn run_mapcg(
     let contention = out.table.full_contention_histogram();
     let alloc_serial = gpu_sim::SimTime::from_nanos(snapshot.alloc_success * MAPCG_ALLOC_SERIAL_NS);
     let (_, output_bytes) = out.table.host_footprint();
-    let result_keys = out.table.collect_grouped().len();
     Ok(MapCgRun {
         snapshot,
         contention,
         alloc_serial,
         output_bytes,
-        result_keys,
+        table: out.table,
     })
 }
 
@@ -161,7 +168,10 @@ mod tests {
         let ds = App::WordCount.generate(0, 16_384);
         let e = exec();
         let run = run_mapcg(App::WordCount, &ds, 8 << 20, &e).expect("fits in memory");
-        assert_eq!(run.result_keys, sepo_apps::wordcount::reference(&ds).len());
+        assert_eq!(
+            run.result_keys(),
+            sepo_apps::wordcount::reference(&ds).len()
+        );
         assert!(run.snapshot.alloc_success > 0);
     }
 
@@ -179,7 +189,9 @@ mod tests {
     fn large_input_fails_with_oom() {
         let ds = App::GeoLocation.generate(0, 8_192);
         let e = exec();
-        let err = run_mapcg(App::GeoLocation, &ds, 16 * 1024, &e).unwrap_err();
+        let err = run_mapcg(App::GeoLocation, &ds, 16 * 1024, &e)
+            .err()
+            .expect("MapCG must run out of memory");
         assert!(err.to_string().contains("out of device memory"));
     }
 }

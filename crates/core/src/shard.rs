@@ -17,11 +17,13 @@
 //! images cannot match across shard counts, but the merged, sorted
 //! collector output is invariant.
 
-use crate::config::Organization;
+use crate::config::{Combiner, Organization};
 use crate::hash::fnv1a;
+use crate::results::GroupedPair;
 use crate::serve::{EpochSnapshot, QueryError};
 use crate::table::SepoTable;
 use gpu_sim::Executor;
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Which slice of the hash-prefix key space one table owns.
@@ -102,39 +104,105 @@ pub fn shard_of_key(key: &[u8], bits: u32) -> u32 {
 /// per-shard page order. An unsharded run is the 1-element case, which is
 /// what anchors `--shards N` correctness to `--shards 1`.
 pub fn canonical_image(tables: &[&SepoTable]) -> Vec<u8> {
+    image_of(collect_shards(tables))
+}
+
+/// Cross-shard ownership audit over finalized shard tables: every key a
+/// shard's collectors surface must hash into that shard's prefix slice.
+/// This is the global half of the per-shard [`TableAudit`]
+/// (crate::audit::TableAudit) — a key on the wrong shard means the router
+/// or the table's ownership filter leaked.
+pub fn audit_ownership(tables: &[&SepoTable]) -> Result<(), String> {
+    audit_collected(tables, &collect_shards(tables))
+}
+
+/// [`audit_ownership`] and then [`canonical_image`], from one collection
+/// of each shard.
+pub fn audited_image(tables: &[&SepoTable]) -> Result<Vec<u8>, String> {
+    let collected = collect_shards(tables);
+    audit_collected(tables, &collected)?;
+    Ok(image_of(collected))
+}
+
+/// Every finalized table's collector output, in table order.
+enum Collected {
+    Combining(Combiner, Vec<Vec<(Vec<u8>, u64)>>),
+    MultiValued(Vec<Vec<GroupedPair>>),
+    Basic(Vec<Vec<(Vec<u8>, Vec<u8>)>>),
+}
+
+/// Collect every table once, the tables concurrently on the worker pool.
+fn collect_shards(tables: &[&SepoTable]) -> Collected {
     assert!(!tables.is_empty(), "canonical image of zero shards");
-    let org = tables[0].config().organization;
-    let mut out = Vec::new();
-    match org {
+    match tables[0].config().organization {
         Organization::Combining(comb) => {
-            let mut merged: std::collections::HashMap<Vec<u8>, u64> =
-                std::collections::HashMap::new();
-            for t in tables {
-                for (k, v) in t.collect_combining() {
-                    merged
-                        .entry(k)
-                        .and_modify(|cur| *cur = comb.apply(*cur, v))
-                        .or_insert(v);
+            Collected::Combining(comb, collect_each(tables, SepoTable::collect_combining))
+        }
+        Organization::MultiValued => {
+            Collected::MultiValued(collect_each(tables, SepoTable::collect_multivalued))
+        }
+        Organization::Basic => Collected::Basic(collect_each(tables, SepoTable::collect_basic)),
+    }
+}
+
+fn collect_each<T: Send>(tables: &[&SepoTable], collect: fn(&SepoTable) -> Vec<T>) -> Vec<Vec<T>> {
+    let cells: Vec<Mutex<Vec<T>>> = tables.iter().map(|_| Mutex::new(Vec::new())).collect();
+    gpu_sim::pool::scope(|s| {
+        for (t, cell) in tables.iter().zip(&cells) {
+            s.spawn(move || *cell.lock() = collect(t));
+        }
+    });
+    cells.into_iter().map(Mutex::into_inner).collect()
+}
+
+/// Check each sharded table's collected keys against its [`ShardSpec`];
+/// the first failing shard, in table order, is reported.
+fn audit_collected(tables: &[&SepoTable], collected: &Collected) -> Result<(), String> {
+    for (i, t) in tables.iter().enumerate() {
+        let Some(spec) = t.config().shard else {
+            continue;
+        };
+        match collected {
+            Collected::Combining(_, per) => audit_keys(spec, per[i].iter().map(|(k, _)| &k[..])),
+            Collected::MultiValued(per) => audit_keys(spec, per[i].iter().map(|(k, _)| &k[..])),
+            Collected::Basic(per) => audit_keys(spec, per[i].iter().map(|(k, _)| &k[..])),
+        }?;
+    }
+    Ok(())
+}
+
+/// Merge the collections into the canonical image. A stable sort by key
+/// keeps equal keys in table order, so they combine in the order the
+/// tables are listed.
+fn image_of(collected: Collected) -> Vec<u8> {
+    let mut out = Vec::new();
+    match collected {
+        Collected::Combining(comb, per) => {
+            let mut pairs: Vec<(Vec<u8>, u64)> = per.into_iter().flatten().collect();
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            pairs.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 = comb.apply(kept.1, next.1);
                 }
-            }
-            let mut pairs: Vec<(Vec<u8>, u64)> = merged.into_iter().collect();
-            pairs.sort();
+                same
+            });
             write_len(&mut out, pairs.len());
             for (k, v) in pairs {
                 write_bytes(&mut out, &k);
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        Organization::MultiValued => {
-            let mut merged: std::collections::HashMap<Vec<u8>, Vec<Vec<u8>>> =
-                std::collections::HashMap::new();
-            for t in tables {
-                for (k, vs) in t.collect_multivalued() {
-                    merged.entry(k).or_default().extend(vs);
-                }
-            }
-            let mut groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = merged.into_iter().collect();
+        Collected::MultiValued(per) => {
+            let mut groups: Vec<GroupedPair> = per.into_iter().flatten().collect();
             groups.sort_by(|a, b| a.0.cmp(&b.0));
+            groups.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1.append(&mut next.1);
+                }
+                same
+            });
             write_len(&mut out, groups.len());
             for (k, mut vs) in groups {
                 vs.sort();
@@ -145,11 +213,8 @@ pub fn canonical_image(tables: &[&SepoTable]) -> Vec<u8> {
                 }
             }
         }
-        Organization::Basic => {
-            let mut pairs = Vec::new();
-            for t in tables {
-                pairs.extend(t.collect_basic());
-            }
+        Collected::Basic(per) => {
+            let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = per.into_iter().flatten().collect();
             pairs.sort();
             write_len(&mut out, pairs.len());
             for (k, v) in pairs {
@@ -170,24 +235,9 @@ fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-/// Cross-shard ownership audit over finalized shard tables: every key a
-/// shard's collectors surface must hash into that shard's prefix slice.
-/// This is the global half of the per-shard [`TableAudit`]
-/// (crate::audit::TableAudit) — a key on the wrong shard means the router
-/// or the table's ownership filter leaked.
-pub fn audit_ownership(tables: &[&SepoTable]) -> Result<(), String> {
-    for t in tables {
-        let Some(spec) = t.config().shard else {
-            continue;
-        };
-        audit_keys(spec, &collected_keys(t))?;
-    }
-    Ok(())
-}
-
 /// One shard's half of [`audit_ownership`]: every key must hash into
 /// `spec`'s prefix slice.
-fn audit_keys(spec: ShardSpec, keys: &[Vec<u8>]) -> Result<(), String> {
+fn audit_keys<'a>(spec: ShardSpec, keys: impl IntoIterator<Item = &'a [u8]>) -> Result<(), String> {
     for key in keys {
         if !spec.owns_key(key) {
             return Err(format!(
@@ -200,18 +250,6 @@ fn audit_keys(spec: ShardSpec, keys: &[Vec<u8>]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn collected_keys(t: &SepoTable) -> Vec<Vec<u8>> {
-    match t.config().organization {
-        Organization::Combining(_) => t.collect_combining().into_iter().map(|(k, _)| k).collect(),
-        Organization::MultiValued => t
-            .collect_multivalued()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect(),
-        Organization::Basic => t.collect_basic().into_iter().map(|(k, _)| k).collect(),
-    }
 }
 
 /// A consistent global read view over one epoch snapshot per shard:
@@ -307,7 +345,7 @@ impl ShardedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Combiner, TableConfig};
+    use crate::config::TableConfig;
     use gpu_sim::charge::NoCharge;
     use gpu_sim::metrics::Metrics;
 
@@ -448,8 +486,8 @@ mod tests {
             .map(|i| format!("key-{i}").into_bytes())
             .find(|k| !spec.owns_key(k))
             .expect("some key lands elsewhere");
-        assert!(audit_keys(spec, &[owned]).is_ok());
-        let err = audit_keys(spec, &[foreign]).unwrap_err();
+        assert!(audit_keys(spec, [owned.as_slice()]).is_ok());
+        let err = audit_keys(spec, [foreign.as_slice()]).unwrap_err();
         assert!(err.contains("foreign key"), "{err}");
         assert!(err.contains("shard 1 of 4"), "{err}");
     }

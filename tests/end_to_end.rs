@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Normalized results: key -> sorted values.
-fn normalized(run: &sepo_apps::AppRun) -> HashMap<Vec<u8>, Vec<Vec<u8>>> {
-    run.table
+fn normalized(table: &sepo_core::SepoTable) -> HashMap<Vec<u8>, Vec<Vec<u8>>> {
+    table
         .collect_grouped()
         .into_iter()
         .map(|(k, mut vs)| {
@@ -38,8 +38,8 @@ fn every_app_is_exact_under_memory_pressure() {
         let ample = run_mode(app, &ds, 32 << 20, ExecMode::Deterministic);
         assert_eq!(ample.iterations(), 1, "{}", app.name());
         assert_eq!(
-            normalized(&pressured),
-            normalized(&ample),
+            normalized(&pressured.table),
+            normalized(&ample.table),
             "{}: pressured run diverged from single-pass run",
             app.name()
         );
@@ -55,8 +55,8 @@ fn parallel_and_deterministic_modes_agree() {
         let det = run_mode(app, &ds, 48 * 1024, ExecMode::Deterministic);
         let par = run_mode(app, &ds, 48 * 1024, ExecMode::Parallel { workers: 4 });
         assert_eq!(
-            normalized(&det),
-            normalized(&par),
+            normalized(&det.table),
+            normalized(&par.table),
             "{}: parallel mode changed the results",
             app.name()
         );
@@ -65,16 +65,16 @@ fn parallel_and_deterministic_modes_agree() {
 
 #[test]
 fn gpu_results_match_cpu_baseline_results() {
-    // The CPU baseline runs the same table with ample memory; key counts
-    // must agree with the pressured GPU run.
+    // The CPU baseline runs the same table with ample memory; its full
+    // key -> values image must equal the pressured GPU run's.
     for app in App::ALL {
         let ds = app.generate(0, 65_536);
         let gpu = run_mode(app, &ds, 32 * 1024, ExecMode::Deterministic);
         let cpu = sepo_baselines::run_cpu_app(app, &ds);
         assert_eq!(
-            normalized(&gpu).len(),
-            cpu.result_keys,
-            "{}: GPU and CPU baselines disagree on distinct keys",
+            normalized(&gpu.table),
+            normalized(&cpu.table),
+            "{}: GPU and CPU baselines disagree on the result image",
             app.name()
         );
     }
@@ -87,7 +87,7 @@ fn mapreduce_runtime_agrees_with_phoenix_baseline() {
         let gpu = run_mode(app, &ds, 64 * 1024, ExecMode::Deterministic);
         let phoenix = sepo_baselines::run_phoenix(app, &ds);
         assert_eq!(
-            normalized(&gpu).len(),
+            normalized(&gpu.table).len(),
             phoenix.result_keys,
             "{}: SEPO MapReduce and Phoenix++ disagree",
             app.name()
@@ -118,7 +118,7 @@ fn mapcg_fails_exactly_where_sepo_succeeds() {
     let sepo = run_mode(App::GeoLocation, &ds, heap, ExecMode::Deterministic);
     assert!(sepo.iterations() > 1);
     assert_eq!(
-        normalized(&sepo),
+        normalized(&sepo.table),
         sepo_apps::geoloc::reference(&ds)
             .into_iter()
             .collect::<HashMap<_, _>>(),

@@ -5,6 +5,7 @@
 //! image all byte-identical to an unkilled run), and the shared SEPOCKS2
 //! checkpoint file must carry a restorable section for every shard.
 
+use gpu_sim::charge::NoCharge;
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
 use gpu_sim::{
@@ -14,8 +15,12 @@ use gpu_sim::{
 use sepo_apps::sharded::{run_app_sharded, unsharded_image, ShardedAppRun};
 use sepo_apps::{run_app, AppConfig};
 use sepo_bench::{gpu_total_time, sharded_total_time, GpuTiming};
-use sepo_core::{read_sharded_from_path, CheckpointPolicy, ShardedCheckpointFile};
+use sepo_core::{
+    canonical_image, read_sharded_from_path, CheckpointPolicy, Combiner, Organization, SepoTable,
+    ShardedCheckpointFile, TableConfig,
+};
 use sepo_datagen::{App, Dataset};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-shard device heap, small enough that every shard of the scaled
@@ -282,5 +287,132 @@ fn one_shard_run_is_the_unsharded_run() {
             };
             assert!(struck > 0, "{} ({name}): the plan never struck", app.name());
         }
+    }
+}
+
+/// The merge as it stood before the sort-merge: re-merge every shard's
+/// collection through a `HashMap`, then sort. Kept as the oracle the
+/// sort-merge in `canonical_image` must reproduce byte for byte.
+fn hashmap_canonical_image(tables: &[&SepoTable]) -> Vec<u8> {
+    fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
+        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        out.extend_from_slice(b);
+    }
+    let mut out = Vec::new();
+    match tables[0].config().organization {
+        Organization::Combining(comb) => {
+            let mut merged: HashMap<Vec<u8>, u64> = HashMap::new();
+            for t in tables {
+                for (k, v) in t.collect_combining() {
+                    merged
+                        .entry(k)
+                        .and_modify(|cur| *cur = comb.apply(*cur, v))
+                        .or_insert(v);
+                }
+            }
+            let mut pairs: Vec<(Vec<u8>, u64)> = merged.into_iter().collect();
+            pairs.sort();
+            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+            for (k, v) in pairs {
+                write_bytes(&mut out, &k);
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        Organization::MultiValued => {
+            let mut merged: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+            for t in tables {
+                for (k, vs) in t.collect_multivalued() {
+                    merged.entry(k).or_default().extend(vs);
+                }
+            }
+            let mut groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = merged.into_iter().collect();
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+            out.extend_from_slice(&(groups.len() as u32).to_le_bytes());
+            for (k, mut vs) in groups {
+                vs.sort();
+                write_bytes(&mut out, &k);
+                out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
+                for v in vs {
+                    write_bytes(&mut out, &v);
+                }
+            }
+        }
+        Organization::Basic => {
+            let mut pairs = Vec::new();
+            for t in tables {
+                pairs.extend(t.collect_basic());
+            }
+            pairs.sort();
+            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+            for (k, v) in pairs {
+                write_bytes(&mut out, &k);
+                write_bytes(&mut out, &v);
+            }
+        }
+    }
+    out
+}
+
+/// The sort-merge image equals the `HashMap` re-merge for every
+/// application at 1, 2 and 4 shards, on heaps small enough that most
+/// shards iterate.
+#[test]
+fn sort_merge_matches_the_hashmap_merge() {
+    for app in App::ALL {
+        let ds = app.generate(0, 32_768);
+        for shards in [1u32, 2, 4] {
+            let cfgs: Vec<AppConfig> = (0..shards).map(|_| AppConfig::new(HEAP)).collect();
+            let execs: Vec<Executor> = (0..shards).map(|_| executor(None)).collect();
+            let run = run_app_sharded(app, &ds, &cfgs, &execs);
+            let tables: Vec<&SepoTable> = run.shards.iter().map(|r| &r.table).collect();
+            assert_eq!(
+                run.image,
+                hashmap_canonical_image(&tables),
+                "{} at {shards} shards",
+                app.name()
+            );
+            assert_eq!(canonical_image(&tables), run.image);
+        }
+    }
+}
+
+/// A key held by two tables combines across them (combining) or pools its
+/// values (multi-valued), exactly as the `HashMap` merge did.
+#[test]
+fn sort_merge_combines_a_key_held_by_two_tables() {
+    let mut charge = NoCharge;
+    for org in [
+        Organization::Combining(Combiner::Add),
+        Organization::Combining(Combiner::Or),
+        Organization::MultiValued,
+    ] {
+        let tables: Vec<SepoTable> = (0..2u64)
+            .map(|i| {
+                let cfg = TableConfig::new(org)
+                    .with_buckets(64)
+                    .with_buckets_per_group(16)
+                    .with_page_size(1024);
+                let t = SepoTable::new(cfg, 16 * 1024, Arc::new(Metrics::new()));
+                for (key, value) in [("dup", 3 + i), ("zeta", 1), ("alpha", 2 + i)] {
+                    let key = format!("{key}-{}", if key == "dup" { 0 } else { i });
+                    let ok = match org {
+                        Organization::MultiValued => t
+                            .insert_multivalued(key.as_bytes(), &value.to_le_bytes(), &mut charge)
+                            .is_success(),
+                        _ => t
+                            .insert_combining(key.as_bytes(), value, &mut charge)
+                            .is_success(),
+                    };
+                    assert!(ok);
+                }
+                t.finalize();
+                t
+            })
+            .collect();
+        let refs: Vec<&SepoTable> = tables.iter().collect();
+        let image = canonical_image(&refs);
+        assert_eq!(image, hashmap_canonical_image(&refs), "{org:?}");
+        // Five distinct keys: `dup-0` once, the others once per table.
+        assert_eq!(image[..4], 5u32.to_le_bytes(), "{org:?}");
     }
 }
