@@ -23,6 +23,6 @@ pub mod hostheap;
 pub mod layout;
 
 pub use group::{GroupAllocator, PageClass, Postpone};
-pub use heap::{Heap, HeapSnapshot, HeapStats, PageKind, ResidentPage};
+pub use heap::{prefetch_line, Heap, HeapSnapshot, HeapStats, PageKind, ResidentPage};
 pub use hostheap::HostHeap;
 pub use layout::{align_up, DevHandle, HostLink, Link, ALIGN, MAX_PAGE_SIZE, OFFSET_BITS};

@@ -13,6 +13,7 @@ use crate::common::{AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::{Combiner, Organization};
+use sepo_core::hash::fnv1a;
 use sepo_core::sepo::{SepoDriver, TaskResult};
 use sepo_core::table::{InsertStatus, SepoTable};
 use sepo_datagen::dna::edge_bits;
@@ -39,23 +40,16 @@ pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
                 let record = dataset.record(t);
                 let read = record.strip_suffix(b"\n").unwrap_or(record);
                 lane.compute(6 * read.len() as u64);
-                if read.len() < K {
-                    return TaskResult::Done;
-                }
-                // Pair i = k-mer starting at base i; resume where we left.
-                let n_kmers = read.len() - K + 1;
-                for i in (start as usize)..n_kmers {
-                    let kmer = &read[i..i + K];
-                    let prev = (i > 0).then(|| read[i - 1]);
-                    let next = (i + K < read.len()).then(|| read[i + K]);
-                    let bits = edge_bits(prev, next);
-                    match table.insert_combining(kmer, bits, lane) {
-                        InsertStatus::Success => {}
-                        InsertStatus::Postponed => {
-                            return TaskResult::Postponed {
-                                next_pair: i as u32,
-                            };
-                        }
+                // Reads shorter than K have no k-mers. Every k-mer is known
+                // up front, so the lookahead overlaps their cache misses
+                // (DESIGN §17).
+                for (n, (kmer, hash, bits)) in table.lookahead(kmers(read, start)).enumerate() {
+                    if table.insert_combining_hashed(kmer, hash, bits, lane)
+                        == InsertStatus::Postponed
+                    {
+                        return TaskResult::Postponed {
+                            next_pair: start + n as u32,
+                        };
                     }
                 }
                 TaskResult::Done
@@ -64,6 +58,18 @@ pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
     };
     table.finalize();
     AppRun { outcome, table }
+}
+
+/// The inserts of one read's task from k-mer `start` on, built lazily:
+/// `(k-mer, its fnv1a hash, edge bits)` for the k-mer at each base `i` (pair
+/// `i` of the task, so `start` is a postponed task's `next_pair`).
+pub fn kmers(read: &[u8], start: u32) -> impl Iterator<Item = (&[u8], u64, u64)> {
+    (start as usize..(read.len() + 1).saturating_sub(K)).map(move |i| {
+        let kmer = &read[i..i + K];
+        let prev = (i > 0).then(|| read[i - 1]);
+        let next = read.get(i + K).copied();
+        (kmer, fnv1a(kmer), edge_bits(prev, next))
+    })
 }
 
 /// Sequential reference implementation (verification oracle).
@@ -119,6 +125,31 @@ mod tests {
         assert!(run.iterations() > 1);
         let got: HashMap<Vec<u8>, u64> = run.table.collect_combining().into_iter().collect();
         assert_eq!(got, reference(&ds));
+    }
+
+    #[test]
+    fn kmers_resumed_from_start_yield_the_suffix() {
+        let read = b"ACGTTGCAACGTTGCAAC"; // 18 bases, 3 k-mers at K=16
+        let all: Vec<_> = kmers(read, 0).collect();
+        assert_eq!(all.len(), 3);
+        assert_eq!(
+            all[0],
+            (
+                &read[0..16],
+                fnv1a(&read[0..16]),
+                edge_bits(None, Some(b'A'))
+            )
+        );
+        assert_eq!(all[2].2, edge_bits(Some(b'C'), None));
+        for start in 0..=4 {
+            let rest: Vec<_> = kmers(read, start as u32).collect();
+            assert_eq!(rest, all[start.min(3)..], "start {start}");
+        }
+        assert_eq!(
+            kmers(&read[..K - 1], 0).count(),
+            0,
+            "a short read has no k-mers"
+        );
     }
 
     #[test]

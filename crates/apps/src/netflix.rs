@@ -12,6 +12,7 @@ use crate::common::{AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::{Combiner, Organization};
+use sepo_core::hash::fnv1a;
 use sepo_core::sepo::{SepoDriver, TaskResult};
 use sepo_core::table::{InsertStatus, SepoTable};
 use sepo_datagen::ratings::{pair_key, parse_movie, similarity};
@@ -36,25 +37,16 @@ pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
                 let Some((_movie, raters)) = parse_movie(record) else {
                     return TaskResult::Done;
                 };
-                // Deterministic pair enumeration order: (i, j), j > i.
-                let mut pair_idx = 0u32;
-                for i in 0..raters.len() {
-                    for j in i + 1..raters.len() {
-                        if pair_idx >= start {
-                            let (ua, ra) = raters[i];
-                            let (ub, rb) = raters[j];
-                            let key = pair_key(ua, ub);
-                            lane.compute(30);
-                            match table.insert_combining(&key, similarity(ra, rb), lane) {
-                                InsertStatus::Success => {}
-                                InsertStatus::Postponed => {
-                                    return TaskResult::Postponed {
-                                        next_pair: pair_idx,
-                                    };
-                                }
-                            }
-                        }
-                        pair_idx += 1;
+                // Every key is known up front, so the lookahead overlaps
+                // their cache misses (DESIGN §17).
+                for (n, (key, hash, score)) in table.lookahead(pairs(&raters, start)).enumerate() {
+                    lane.compute(30);
+                    if table.insert_combining_hashed(&key, hash, score, lane)
+                        == InsertStatus::Postponed
+                    {
+                        return TaskResult::Postponed {
+                            next_pair: start + n as u32,
+                        };
                     }
                 }
                 TaskResult::Done
@@ -63,6 +55,23 @@ pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
     };
     table.finalize();
     AppRun { outcome, table }
+}
+
+/// The inserts of one movie's task from pair `start` on, built lazily:
+/// `(pair key, its fnv1a hash, similarity)` for every two raters `(i, j)`,
+/// `j > i`, in the kernel's deterministic enumeration order. Pair indices
+/// count in this order, so `start` is a postponed task's `next_pair`.
+pub fn pairs(raters: &[(u64, u8)], start: u32) -> impl Iterator<Item = ([u8; 16], u64, u64)> + '_ {
+    let n = raters.len();
+    (0..n)
+        .flat_map(move |i| (i + 1..n).map(move |j| (i, j)))
+        .skip(start as usize)
+        .map(|(i, j)| {
+            let (ua, ra) = raters[i];
+            let (ub, rb) = raters[j];
+            let key = pair_key(ua, ub);
+            (key, fnv1a(&key), similarity(ra, rb))
+        })
 }
 
 /// Sequential reference implementation (verification oracle). Keys are the
@@ -119,6 +128,23 @@ mod tests {
         assert!(run.iterations() > 1);
         let got: HashMap<Vec<u8>, u64> = run.table.collect_combining().into_iter().collect();
         assert_eq!(got, reference(&ds));
+    }
+
+    #[test]
+    fn pairs_resumed_from_start_yield_the_suffix() {
+        let raters: Vec<(u64, u8)> = (0..7).map(|u| (100 - u, (u % 5) as u8 + 1)).collect();
+        let all: Vec<_> = pairs(&raters, 0).collect();
+        assert_eq!(all.len(), 7 * 6 / 2);
+        let (i, j) = (2, 5); // pair 6 + 5 + (5 - 3) = 13
+        assert_eq!(all[13].0, pair_key(raters[i].0, raters[j].0));
+        assert_eq!(all[13].2, similarity(raters[i].1, raters[j].1));
+        for (key, hash, _) in &all {
+            assert_eq!(*hash, fnv1a(key));
+        }
+        for start in 0..=all.len() + 1 {
+            let rest: Vec<_> = pairs(&raters, start as u32).collect();
+            assert_eq!(rest, all[start.min(all.len())..], "start {start}");
+        }
     }
 
     #[test]

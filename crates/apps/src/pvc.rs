@@ -11,6 +11,7 @@ use gpu_sim::paging::AccessTrace;
 use gpu_sim::Charge;
 use parking_lot::Mutex;
 use sepo_core::config::{Combiner, Organization};
+use sepo_core::hash::fnv1a;
 use sepo_core::sepo::{SepoDriver, TaskResult};
 use sepo_core::table::{InsertStatus, SepoTable};
 use sepo_datagen::weblog::parse_url;
@@ -53,7 +54,7 @@ pub fn run_with_trace(
                 let Some(url) = parse_url(record) else {
                     return TaskResult::Done; // malformed line: skip
                 };
-                match table.insert_combining(url, 1, lane) {
+                match table.insert_combining_hashed(url, fnv1a(url), 1, lane) {
                     InsertStatus::Success => {
                         if let Some(tr) = trace {
                             // Virtual flat-table address of the entry.

@@ -34,7 +34,7 @@ use sepo_core::{canonical_image, shard_of, shard_of_key, ShardSpec};
 use sepo_datagen::geo::parse_article;
 use sepo_datagen::html::parse_page;
 use sepo_datagen::patents::parse_citation;
-use sepo_datagen::ratings::{pair_key, parse_movie};
+use sepo_datagen::ratings::parse_movie;
 use sepo_datagen::weblog::parse_url;
 use sepo_datagen::{App, Dataset};
 
@@ -67,19 +67,11 @@ pub fn record_key_hashes(app: App, record: &[u8], out: &mut Vec<u64>) {
         }
         App::DnaAssembly => {
             let read = record.strip_suffix(b"\n").unwrap_or(record);
-            if read.len() >= crate::dna::K {
-                out.extend(
-                    (0..=read.len() - crate::dna::K).map(|i| fnv1a(&read[i..i + crate::dna::K])),
-                );
-            }
+            out.extend(crate::dna::kmers(read, 0).map(|(_, hash, _)| hash));
         }
         App::Netflix => {
             if let Some((_movie, raters)) = parse_movie(record) {
-                for i in 0..raters.len() {
-                    for j in i + 1..raters.len() {
-                        out.push(fnv1a(&pair_key(raters[i].0, raters[j].0)));
-                    }
-                }
+                out.extend(crate::netflix::pairs(&raters, 0).map(|(_, hash, _)| hash));
             }
         }
         App::WordCount => {

@@ -20,7 +20,9 @@ use crate::integrity::IntegrityState;
 use gpu_sim::charge::Charge;
 use gpu_sim::metrics::{ContentionHistogram, Metrics};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use sepo_alloc::{DevHandle, GroupAllocator, Heap, HostHeap, HostLink, Link, PageClass, PageKind};
+use sepo_alloc::{
+    prefetch_line, DevHandle, GroupAllocator, Heap, HostHeap, HostLink, Link, PageClass, PageKind,
+};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -787,6 +789,57 @@ impl SepoTable {
     }
 
     // ------------------------------------------------------------------
+    // Host memory-level parallelism (DESIGN §17)
+    // ------------------------------------------------------------------
+
+    /// Yield `items` — `(key, fnv1a(key), value)` inserts in the order they
+    /// will run — unchanged and in order, while hinting the host cache
+    /// lines later inserts will touch: the bucket head word and touch
+    /// counter [`LOOKAHEAD_FAR`] items ahead, the entry that head names
+    /// [`LOOKAHEAD_NEAR`] items ahead. A task whose keys are known before
+    /// its first insert overlaps their cache misses instead of stalling on
+    /// each in turn.
+    ///
+    /// Hints sit outside the cost model and the sanitizer: they charge,
+    /// declare and count nothing, so every simulated number is what the
+    /// plain loop produces. The pull is lazy — never more than
+    /// `LOOKAHEAD_FAR` items past the one yielded — so a postponed task
+    /// builds few keys it never inserts. Hashes another shard owns get no
+    /// hint, as their inserts touch nothing.
+    pub fn lookahead<K, V, I>(&self, items: I) -> Lookahead<'_, I::IntoIter>
+    where
+        I: IntoIterator<Item = (K, u64, V)>,
+    {
+        Lookahead {
+            table: self,
+            items: items.into_iter().fuse(),
+            ring: std::array::from_fn(|_| None),
+            front: 0,
+            len: 0,
+        }
+    }
+
+    /// Hint the lines of `bucket`'s head word and touch counter.
+    #[inline]
+    fn prefetch_bucket(&self, bucket: usize) {
+        prefetch_line(&self.heads[bucket]);
+        prefetch_line(&self.touches[bucket]);
+    }
+
+    /// Hint the lines of the entry `bucket`'s head names now: its first
+    /// line and the line of [`ENTRY_TAIL`].
+    #[inline]
+    fn prefetch_head_entry(&self, bucket: usize) {
+        // lint: relaxed-ok (prefetch hint only; the insert re-reads the head with Acquire)
+        let raw = self.heads[bucket].load(Ordering::Relaxed);
+        if raw != NULL_RAW {
+            self.heap.prefetch(DevHandle::from_raw(raw));
+            // Offsets stay below 2^20, so the sum never carries into the page.
+            self.heap.prefetch(DevHandle::from_raw(raw + ENTRY_TAIL));
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Allocation helpers
     // ------------------------------------------------------------------
 
@@ -809,6 +862,67 @@ impl SepoTable {
         self.groups
             .alloc_charged(group, class, size, charge)
             .map_err(|_| ())
+    }
+}
+
+/// Items ahead of the yielded one whose bucket head word and touch counter
+/// [`SepoTable::lookahead`] hints.
+pub const LOOKAHEAD_FAR: usize = 8;
+/// Items ahead of the yielded one whose head entry [`SepoTable::lookahead`]
+/// hints: the head's own line was hinted `LOOKAHEAD_FAR - LOOKAHEAD_NEAR`
+/// items earlier, so reading it here no longer stalls.
+pub const LOOKAHEAD_NEAR: usize = 4;
+
+/// Offset of the last word of a combining entry with a 16-byte key (a
+/// Netflix pair key, a DNA k-mer). Such a 48-byte entry spans two cache
+/// lines at five of its eight possible offsets, so the lookahead hints the
+/// line of this word as well as the entry's first.
+const ENTRY_TAIL: u64 = combining::HEADER as u64 + 8;
+
+/// Pulled items held by a [`Lookahead`]: the yielded one and the
+/// `LOOKAHEAD_FAR` behind it.
+const RING: usize = LOOKAHEAD_FAR + 1;
+
+/// The adaptor [`SepoTable::lookahead`] returns.
+pub struct Lookahead<'t, I: Iterator> {
+    table: &'t SepoTable,
+    items: std::iter::Fuse<I>,
+    /// Pulled, not yet yielded items with their bucket (`None` when another
+    /// shard owns the hash), oldest at `front`. On the stack, not the heap.
+    ring: [Option<(I::Item, Option<usize>)>; RING],
+    front: usize,
+    len: usize,
+}
+
+impl<K, V, I> Iterator for Lookahead<'_, I>
+where
+    I: Iterator<Item = (K, u64, V)>,
+{
+    type Item = (K, u64, V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let table = self.table;
+        while self.len < RING {
+            let Some(item) = self.items.next() else {
+                break;
+            };
+            let bucket = table
+                .cfg
+                .owns_hash(item.1)
+                .then(|| bucket_for(item.1, table.cfg.n_buckets));
+            if let Some(b) = bucket {
+                table.prefetch_bucket(b);
+            }
+            self.ring[(self.front + self.len) % RING] = Some((item, bucket));
+            self.len += 1;
+        }
+        if let Some((_, Some(b))) = &self.ring[(self.front + LOOKAHEAD_NEAR) % RING] {
+            table.prefetch_head_entry(*b);
+        }
+        let (item, _) = self.ring[self.front].take()?;
+        self.front = (self.front + 1) % RING;
+        self.len -= 1;
+        Some(item)
     }
 }
 
@@ -996,5 +1110,83 @@ mod tests {
                 "miscount for {k}"
             );
         }
+    }
+
+    /// `(key, hash, value)` inserts over distinct keys.
+    fn items(n: usize) -> Vec<(Vec<u8>, u64, u64)> {
+        (0..n)
+            .map(|i| {
+                let key = format!("key-{i}").into_bytes();
+                let hash = fnv1a(&key);
+                (key, hash, i as u64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lookahead_yields_exactly_its_input_in_order() {
+        let t = table(Organization::Combining(Combiner::Add), 64);
+        let mut c = NoCharge;
+        for n in 0..=2 * LOOKAHEAD_FAR + 1 {
+            let input = items(n);
+            // Insert while iterating, so the entry hints name real entries.
+            let got: Vec<_> = t
+                .lookahead(input.iter().cloned())
+                .inspect(|(k, h, v)| {
+                    assert!(t.insert_combining_hashed(k, *h, *v, &mut c).is_success())
+                })
+                .collect();
+            assert_eq!(got, input, "length {n}");
+        }
+    }
+
+    #[test]
+    fn lookahead_pulls_at_most_far_items_past_the_yielded_one() {
+        let t = table(Organization::Combining(Combiner::Add), 64);
+        let input = items(3 * LOOKAHEAD_FAR);
+        let pulled = std::cell::Cell::new(0usize);
+        let mut it = t.lookahead(
+            input
+                .iter()
+                .cloned()
+                .inspect(|_| pulled.set(pulled.get() + 1)),
+        );
+        assert_eq!(pulled.get(), 0, "building the adaptor pulls nothing");
+        for i in 0..input.len() {
+            assert!(it.next().is_some());
+            assert!(
+                pulled.get() <= i + 1 + LOOKAHEAD_FAR,
+                "yielding item {i} pulled {}",
+                pulled.get()
+            );
+        }
+        assert!(it.next().is_none());
+        assert_eq!(pulled.get(), input.len());
+    }
+
+    #[test]
+    fn lookahead_resumed_from_start_yields_the_suffix() {
+        let t = table(Organization::Combining(Combiner::Add), 64);
+        let input = items(2 * LOOKAHEAD_FAR + 3);
+        for start in 0..=input.len() {
+            let got: Vec<_> = t.lookahead(input.iter().skip(start).cloned()).collect();
+            assert_eq!(got, input[start..], "start {start}");
+        }
+    }
+
+    #[test]
+    fn lookahead_passes_foreign_hashes_through() {
+        // A shard-pinned table hints only the hashes it owns; the rest are
+        // yielded all the same.
+        let cfg = TableConfig::new(Organization::Combining(Combiner::Add))
+            .with_buckets(64)
+            .with_page_size(1024)
+            .with_shard(Some(crate::ShardSpec::new(1, 4)));
+        let t = SepoTable::new(cfg, 64 * 1024, Arc::new(Metrics::new()));
+        let input = items(4 * LOOKAHEAD_FAR);
+        assert!(input.iter().any(|(_, h, _)| !t.cfg.owns_hash(*h)));
+        assert!(input.iter().any(|(_, h, _)| t.cfg.owns_hash(*h)));
+        let got: Vec<_> = t.lookahead(input.iter().cloned()).collect();
+        assert_eq!(got, input);
     }
 }
